@@ -19,6 +19,7 @@ package engine
 import (
 	"encoding/binary"
 	"sort"
+	"sync"
 
 	"repro/internal/sequitur"
 )
@@ -36,6 +37,14 @@ type Analysis struct {
 	// CumLens[r][j] is the cumulative expansion length of rule r's RHS
 	// after symbol j (CumLens[r][0] == 0).
 	CumLens [][]uint64
+
+	// own memoizes the grammar ranked over its own terminals, which
+	// every CountWindows call on this analysis shares.
+	own struct {
+		once   sync.Once
+		al     *Alphabet
+		ranked *Analysis
+	}
 }
 
 // NewAnalysis computes the memoized per-rule data for one snapshot in a
@@ -158,77 +167,28 @@ func (a *Analysis) Collect(r int32, start, length uint64, out []uint64) []uint64
 // for each rule, the windows that cross its RHS boundaries — weighted by
 // the rule's use count — therefore counts every window exactly once
 // without expanding the trace.
+//
+// It is an adapter over the packed counter (CountPacked) for callers
+// that want string keys: the grammar's own terminals form the alphabet,
+// and each distinct packed window is decoded once into its key.
 func (a *Analysis) CountWindows(l int, counts map[string]uint64) {
-	if len(a.Snap.Rules) == 0 {
-		return
-	}
-	if l == 1 {
-		// Single-event windows never cross boundaries; count terminals
-		// directly.
-		var key [8]byte
-		a.Terminals(func(v, uses uint64) {
-			binary.BigEndian.PutUint64(key[:], v)
-			counts[string(key[:])] += uses
-		})
-		return
-	}
-	L := uint64(l)
-	var terms []uint64
-	key := make([]byte, 0, l*8)
-	for r := range a.Snap.Rules {
-		if a.Uses[r] == 0 {
-			continue
+	a.own.once.Do(func() {
+		a.own.al = terminalAlphabet(a)
+		a.own.ranked, _ = a.own.al.Rank(a)
+	})
+	al := a.own.al
+	t := NewWindowTable(NewPacking(l, al.Bits))
+	a.own.ranked.CountPacked(t)
+	window := make([]uint64, l)
+	key := make([]byte, 0, 8*l)
+	t.Each(func(k []uint64, n uint64) {
+		t.P.Unpack(k, window)
+		key = key[:0]
+		for _, r := range window {
+			key = binary.BigEndian.AppendUint64(key, al.Values[r-1])
 		}
-		cum := a.CumLens[r]
-		total := cum[len(cum)-1]
-		if total < L {
-			continue
-		}
-		ruleUses := a.Uses[r]
-		maxStart := total - L
-		// Enumerate window start offsets that cross at least one boundary
-		// between RHS symbols, merged into maximal runs [lo, hi) so each
-		// run's terminals are materialized once and the window slides.
-		next := uint64(0)
-		runLo, runHi := uint64(0), uint64(0)
-		haveRun := false
-		flush := func() {
-			if !haveRun {
-				return
-			}
-			terms = a.Collect(int32(r), runLo, runHi-1+L-runLo, terms[:0])
-			for o := runLo; o < runHi; o++ {
-				key = AppendKey(key[:0], terms[o-runLo:o-runLo+L])
-				counts[string(key)] += ruleUses
-			}
-			haveRun = false
-		}
-		for b := 1; b < len(cum)-1; b++ {
-			p := cum[b]
-			lo := uint64(0)
-			if p >= L {
-				lo = p - L + 1
-			}
-			if lo < next {
-				lo = next
-			}
-			hi := p // window must start strictly before the boundary
-			if hi > maxStart+1 {
-				hi = maxStart + 1
-			}
-			if lo >= hi {
-				continue
-			}
-			if haveRun && lo <= runHi {
-				runHi = hi
-			} else {
-				flush()
-				runLo, runHi, haveRun = lo, hi, true
-			}
-			next = hi
-		}
-		flush()
-	}
+		counts[string(key)] += n
+	})
 }
 
 // AppendKey appends the canonical window key of the symbols to dst: each

@@ -11,7 +11,8 @@ import (
 // merge that combines partial results in chunk order. Chunk must be a
 // pure function of (i, a) — it runs concurrently across chunks — while
 // Merge runs sequentially, left to right, so results are identical for
-// every worker count.
+// every worker count. Merge may run while later chunks' passes are
+// still in flight, so it must touch only acc and next.
 type Fold[R any] interface {
 	// Chunk reduces chunk i's analysis to a partial result.
 	Chunk(i int, a *Analysis) R
@@ -40,7 +41,7 @@ func Map[R any](snaps []*sequitur.Snapshot, workers int, fn func(i int, a *Analy
 }
 
 // Run executes a Fold over the snapshot sequence: per-chunk passes in
-// parallel via Map, then a sequential in-order merge. With a single
+// parallel, merged sequentially in chunk order. With a single
 // snapshot the result is Chunk(0, ...) — the monolithic case is the
 // one-chunk special case of the same engine. It is RunSource over an
 // in-memory slice, whose chunk access cannot fail.

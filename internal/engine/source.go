@@ -40,66 +40,112 @@ func (s SliceSource) Chunk(i int) (*sequitur.Snapshot, error) { return s[i], nil
 // lowest-indexed failing chunk is returned — deterministic at every
 // worker count.
 func MapSource[R any](src Source, workers int, fn func(i int, a *Analysis) R) ([]R, error) {
-	n := src.NumChunks()
-	out := make([]R, n)
-	errs := make([]error, n)
-	run := func(i int) {
+	out := make([]R, src.NumChunks())
+	if err := eachChunk(src, workers, func(i int, a *Analysis) { out[i] = fn(i, a) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// eachChunk builds every chunk's Analysis and passes it to visit on
+// `workers` goroutines, returning the error of the lowest-indexed chunk
+// that failed to load.
+func eachChunk(src Source, workers int, visit func(i int, a *Analysis)) error {
+	errs := make([]error, src.NumChunks())
+	ForEach(len(errs), workers, func(i int) {
 		sn, err := src.Chunk(i)
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		out[i] = fn(i, NewAnalysis(sn))
+		visit(i, NewAnalysis(sn))
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// ForEach calls fn(i) for every i in [0, n) on up to `workers`
+// goroutines (normalized by Workers), which claim indices in ascending
+// order, and returns when every call has. fn must only write state
+// owned by index i.
+func ForEach(n, workers int, fn func(i int)) {
 	if workers = Workers(workers); workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			run(i)
+			fn(i)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					run(i)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				fn(i)
+			}
+		}()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	wg.Wait()
 }
 
-// RunSource executes a Fold over a Source: per-chunk passes in parallel
-// via MapSource, then a sequential in-order merge. It is Run lifted to
+// RunSource executes a Fold over a Source: per-chunk passes in parallel,
+// each part merged into the accumulator as soon as every earlier part
+// has been, so merging overlaps the remaining chunk passes and only
+// parts that finished out of order wait in memory. Merges happen one at
+// a time in chunk order, whichever worker performs them, so the result
+// is that of the sequential left-to-right merge. It is Run lifted to
 // fallible chunk access; over a SliceSource the two are identical.
 func RunSource[R any](src Source, workers int, f Fold[R]) (R, error) {
-	parts, err := MapSource(src, workers, f.Chunk)
+	var (
+		mu      sync.Mutex
+		ready   = map[int]R{} // finished parts not yet merged
+		next    int           // index of the next part to merge
+		merging bool          // a worker is draining ready into acc
+		acc     R
+	)
+	err := eachChunk(src, workers, func(i int, a *Analysis) {
+		part := f.Chunk(i, a)
+		mu.Lock()
+		ready[i] = part
+		if merging {
+			mu.Unlock()
+			return
+		}
+		merging = true
+		for {
+			p, ok := ready[next]
+			if !ok {
+				merging = false
+				mu.Unlock()
+				return
+			}
+			delete(ready, next)
+			first := next == 0
+			next++
+			mu.Unlock()
+			if first {
+				acc = p
+			} else {
+				acc = f.Merge(acc, p)
+			}
+			mu.Lock()
+		}
+	})
 	if err != nil {
 		var zero R
 		return zero, err
-	}
-	if len(parts) == 0 {
-		var zero R
-		return zero, nil
-	}
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		acc = f.Merge(acc, p)
 	}
 	return acc, nil
 }

@@ -103,7 +103,7 @@ type Subpath struct {
 // Find locates all minimal hot subpaths by analyzing the grammar in
 // compressed form: the one-chunk case of the shared fold.
 func Find(w *wpp.WPP, opts Options) ([]Subpath, error) {
-	return find(engine.SliceSource{w.Grammar}, 1, opts, w.PathCost, w.Instructions)
+	return find(engine.SliceSource{w.Grammar}, 1, opts, w.CostEvents(), w.PathCost, w.Instructions)
 }
 
 // FindChunked locates the same minimal hot subpaths as Find would on a
@@ -115,7 +115,7 @@ func Find(w *wpp.WPP, opts Options) ([]Subpath, error) {
 // its start position. Merging is by summation, so worker scheduling
 // cannot change any count.
 func FindChunked(c *wpp.ChunkedWPP, opts Options, workers int) ([]Subpath, error) {
-	return find(engine.SliceSource(c.Chunks), workers, opts, c.PathCost, c.Instructions)
+	return find(engine.SliceSource(c.Chunks), workers, opts, c.CostEvents(), c.PathCost, c.Instructions)
 }
 
 // FindView locates the same minimal hot subpaths as Find/FindChunked
@@ -126,79 +126,228 @@ func FindChunked(c *wpp.ChunkedWPP, opts Options, workers int) ([]Subpath, error
 // is the one-chunk case. Materialization failures (corrupt chunks)
 // surface as *wpp.ViewError.
 func FindView(v *wpp.ArtifactView, opts Options, workers int) ([]Subpath, error) {
-	return find(v, workers, opts, v.PathCost, v.TotalInstructions())
+	return find(v, workers, opts, v.CostEvents(), v.PathCost, v.TotalInstructions())
 }
 
-// windowState accumulates per-chunk window counts (one map per window
-// length) and boundary regions across the merge.
+// windowState accumulates per-chunk window counts (one packed table per
+// window length) and boundary regions across the merge.
 type windowState struct {
-	counts []map[string]uint64 // counts[l-MinLen]: windows fully inside scanned chunks
-	bounds []engine.Boundary   // one per chunk, in chunk order
+	tables []*engine.WindowTable // tables[l-MinLen]: windows fully inside scanned chunks
+	bounds []engine.Boundary     // one per chunk, in chunk order, as ranks
+	// missing lists terminals absent from the fold's alphabet, ascending;
+	// when set, tables and bounds are incomplete and the fold is rerun
+	// over an extended alphabet.
+	missing []uint64
 }
 
 // windowFold is the hot-subpath search expressed over the engine: the
-// per-chunk pass counts every window length on the grammar and
-// materializes the chunk's boundary regions; the merge sums counts and
-// concatenates boundaries in chunk order.
+// per-chunk pass ranks the grammar's terminals once, counts every
+// window length into packed tables — on par goroutines, one length at
+// a time each, when workers outnumber chunks — and materializes the
+// chunk's boundary regions; the merge sums tables, one length per
+// goroutine on up to workers goroutines, and concatenates boundaries in
+// chunk order.
 type windowFold struct {
-	opts Options
-	met  *Metrics
+	opts         Options
+	met          *Metrics
+	al           *engine.Alphabet
+	par, workers int
 }
 
 func (f windowFold) Chunk(_ int, a *engine.Analysis) *windowState {
 	f.met.ChunksScanned.Inc()
-	nl := f.opts.MaxLen - f.opts.MinLen + 1
-	st := &windowState{counts: make([]map[string]uint64, nl)}
-	for l := f.opts.MinLen; l <= f.opts.MaxLen; l++ {
-		m := make(map[string]uint64)
-		a.CountWindows(l, m)
-		st.counts[l-f.opts.MinLen] = m
+	ranked, missing := f.al.Rank(a)
+	if missing != nil {
+		return &windowState{missing: missing}
 	}
-	st.bounds = []engine.Boundary{a.Boundary(f.opts.MaxLen - 1)}
+	st := &windowState{tables: make([]*engine.WindowTable, f.opts.MaxLen-f.opts.MinLen+1)}
+	longestFirst(len(st.tables), f.par, func(li int) {
+		t := engine.NewWindowTable(engine.NewPacking(f.opts.MinLen+li, f.al.Bits))
+		ranked.CountPacked(t)
+		st.tables[li] = t
+	})
+	st.bounds = []engine.Boundary{ranked.Boundary(f.opts.MaxLen - 1)}
 	return st
 }
 
 func (f windowFold) Merge(acc, next *windowState) *windowState {
-	for li, m := range next.counts {
-		for k, n := range m {
-			acc.counts[li][k] += n
-		}
+	if acc.missing != nil || next.missing != nil {
+		acc.missing = mergeSorted(acc.missing, next.missing)
+		return acc
 	}
+	longestFirst(len(next.tables), f.workers, func(li int) {
+		t := next.tables[li]
+		if t.Len() > acc.tables[li].Len() {
+			acc.tables[li], t = t, acc.tables[li]
+		}
+		acc.tables[li].Merge(t)
+	})
 	acc.bounds = append(acc.bounds, next.bounds...)
 	return acc
 }
 
+// longestFirst calls fn(li) for every window-length index li in
+// [0, n) on up to workers goroutines, longest length first: tables grow
+// with their length, so the largest jobs start earliest.
+func longestFirst(n, workers int, fn func(li int)) {
+	engine.ForEach(n, workers, func(i int) { fn(n - 1 - i) })
+}
+
+// mergeSorted unions two ascending distinct lists.
+func mergeSorted(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// countWindows runs the window fold over the chunk source and adds the
+// boundary-crossing windows (weight 1 each, attributed to the chunk
+// holding their start — a single chunk contributes none). The alphabet
+// is the cost table's events; a terminal missing from it (possible only
+// in a hand-built or inconsistent artifact) extends the alphabet and
+// reruns the fold, so such a terminal is still counted exactly. It
+// returns nil tables for an empty source.
+func countWindows(src engine.Source, workers int, opts Options, costEvents []trace.Event) (*windowState, *engine.Alphabet, error) {
+	met := opts.metrics()
+	values := make([]uint64, len(costEvents))
+	for i, e := range costEvents {
+		values[i] = uint64(e)
+	}
+	fold := windowFold{opts: opts, met: met, al: engine.NewAlphabet(values), workers: workers}
+	if n := src.NumChunks(); n > 0 {
+		fold.par = max(1, engine.Workers(workers)/n)
+	}
+	st, err := engine.RunSource(src, workers, fold)
+	if err == nil && st != nil && st.missing != nil {
+		fold.al = engine.NewAlphabet(append(values, st.missing...))
+		st, err = engine.RunSource(src, workers, fold)
+	}
+	if err != nil || st == nil {
+		return nil, fold.al, err
+	}
+	for l := opts.MinLen; l <= opts.MaxLen; l++ {
+		t := st.tables[l-opts.MinLen]
+		key := make([]uint64, t.P.Stride)
+		engine.CrossingWindows(st.bounds, l, func(window []uint64) {
+			t.P.Pack(key, window)
+			t.Add(key, 1)
+			met.BoundaryWindows.Inc()
+		})
+	}
+	return st, fold.al, nil
+}
+
 // find is the single hot-subpath implementation behind Find,
-// FindChunked, and FindView: run the window fold over the chunk source,
-// add the boundary-crossing windows (weight 1 each, attributed to the
-// chunk holding their start — a single chunk contributes none), then
-// harvest minimal hot subpaths length by length.
-func find(src engine.Source, workers int, opts Options, costOf func(trace.Event) uint64, total uint64) ([]Subpath, error) {
+// FindChunked, and FindView: count every window length into packed
+// tables, then harvest the minimal hot subpaths.
+func find(src engine.Source, workers int, opts Options, costEvents []trace.Event, costOf func(trace.Event) uint64, total uint64) ([]Subpath, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	met := opts.metrics()
-	st, err := engine.RunSource(src, workers, windowFold{opts: opts, met: met})
+	st, al, err := countWindows(src, workers, opts, costEvents)
 	if err != nil {
 		return nil, err
 	}
 	var result []Subpath
-	if st != nil {
-		hot := map[string]bool{}
-		key := make([]byte, 0, opts.MaxLen*8)
-		for l := opts.MinLen; l <= opts.MaxLen; l++ {
-			counts := st.counts[l-opts.MinLen]
-			engine.CrossingWindows(st.bounds, l, func(window []uint64) {
-				key = engine.AppendKey(key[:0], window)
-				counts[string(key)]++
-				met.BoundaryWindows.Inc()
-			})
-			result = harvest(counts, l, opts, hot, result, costOf, total)
-		}
+	if st != nil && total != 0 {
+		result = harvestPacked(st.tables, opts, al, costOf, total, workers)
 	}
 	sortSubpaths(result)
-	met.SubpathsEmitted.Add(uint64(len(result)))
+	opts.metrics().SubpathsEmitted.Add(uint64(len(result)))
 	return result, nil
+}
+
+// harvestPacked turns packed window counts (tables[i] holds length
+// MinLen+i) into minimal hot subpaths, on up to workers goroutines, one
+// length at a time each. A window's unit cost is summed from its ranks
+// through a per-rank cost array and the threshold test runs on that, so
+// cold windows are never decoded. The first pass keeps each length's
+// hot windows; the second emits a hot window unless a proper subwindow
+// of length >= MinLen is hot, testing packed sub-keys against the
+// shorter lengths' hot tables, which by then are complete and read
+// only. Events are materialized only for the subpaths emitted.
+func harvestPacked(tables []*engine.WindowTable, opts Options, al *engine.Alphabet, costOf func(trace.Event) uint64, total uint64, workers int) []Subpath {
+	costs := make([]uint64, len(al.Values)+1) // costs[r]: one occurrence of rank r
+	for i, v := range al.Values {
+		costs[i+1] = costOf(trace.Event(v))
+	}
+	// cost returns the window's aggregate cost and fraction, leaving its
+	// ranks in ranks.
+	cost := func(p engine.Packing, key []uint64, count uint64, ranks []uint64) (uint64, float64) {
+		p.Unpack(key, ranks)
+		var unit uint64
+		for _, r := range ranks {
+			unit += costs[r]
+		}
+		c := unit * count
+		return c, float64(c) / float64(total)
+	}
+	hot := make([]*engine.WindowTable, len(tables))
+	longestFirst(len(tables), workers, func(li int) {
+		p := tables[li].P
+		h := engine.NewWindowTable(p)
+		ranks := make([]uint64, p.L)
+		tables[li].Each(func(key []uint64, count uint64) {
+			if _, frac := cost(p, key, count, ranks); frac < opts.Threshold {
+				return
+			}
+			h.Add(key, count)
+		})
+		hot[li] = h
+	})
+	found := make([][]Subpath, len(tables))
+	longestFirst(len(tables), workers, func(li int) {
+		p := hot[li].P
+		ranks := make([]uint64, p.L)
+		hot[li].Each(func(key []uint64, count uint64) {
+			if containsHot(p, key, hot[:li]) {
+				return
+			}
+			c, frac := cost(p, key, count, ranks)
+			events := make([]trace.Event, p.L)
+			for i, r := range ranks {
+				events[i] = trace.Event(al.Values[r-1])
+			}
+			found[li] = append(found[li], Subpath{Events: events, Count: count, Cost: c, Fraction: frac})
+		})
+	})
+	var result []Subpath
+	for _, f := range found {
+		result = append(result, f...)
+	}
+	return result
+}
+
+// containsHot reports whether any proper contiguous subwindow of key
+// is in one of the shorter lengths' hot tables.
+func containsHot(p engine.Packing, key []uint64, shorter []*engine.WindowTable) bool {
+	var sub []uint64
+	for _, hot := range shorter {
+		if hot.Len() == 0 {
+			continue
+		}
+		q := hot.P
+		if cap(sub) < q.Stride {
+			sub = make([]uint64, q.Stride)
+		}
+		sub = sub[:q.Stride]
+		for off := 0; off+q.L <= p.L; off++ {
+			p.Sub(key, off, q, sub)
+			if hot.Count(sub) != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // FindByScan locates the same minimal hot subpaths by decompressing the

@@ -2,9 +2,13 @@ package hotpath
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/obsv"
 	"repro/internal/wpp"
 )
 
@@ -162,6 +166,41 @@ func main(n) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%T vs %T: CompareSpectraView diverges from eager comparison", combo[0], combo[1])
+		}
+	}
+}
+
+// TestFindViewTruncatedFile: a mapped artifact truncated to zero bytes
+// after the open makes FindView fail with a typed *wpp.ViewError, at
+// one and two workers, instead of the process dying of SIGBUS in a fold
+// worker.
+func TestFindViewTruncatedFile(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(goldenDir, "expr.wpc1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "expr.wpc1")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		met := wpp.NewViewMetrics(obsv.NewRegistry())
+		v, err := wpp.OpenViewFile(path, &wpp.ViewOptions{Metrics: met})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.BytesMapped.Value() == 0 {
+			v.Close()
+			t.Skip("artifact was read into the heap, not mapped")
+		}
+		if err := os.Truncate(path, 0); err != nil {
+			t.Fatal(err)
+		}
+		_, err = FindView(v, goldenOpts, workers)
+		v.Close()
+		var ve *wpp.ViewError
+		if !errors.As(err, &ve) || !errors.Is(err, wpp.ErrMappedFault) {
+			t.Fatalf("workers=%d: FindView on a truncated mapping: got %v, want a *wpp.ViewError wrapping ErrMappedFault", workers, err)
 		}
 	}
 }

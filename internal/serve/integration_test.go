@@ -367,6 +367,20 @@ func TestProtocolStatusCodes(t *testing.T) {
 		}
 	})
 
+	t.Run("hot max over limit 400", func(t *testing.T) {
+		for _, q := range []HotQuery{
+			{MinLen: 4, MaxLen: MaxHotLen + 1},
+			{MinLen: 1, MaxLen: 1 << 20},
+			{MaxLen: 1<<31 - 1},
+		} {
+			_, err := c.Hot(id, q)
+			wantStatus(t, err, http.StatusBadRequest)
+		}
+		if _, err := c.Hot(id, HotQuery{MinLen: 4, MaxLen: MaxHotLen}); err != nil {
+			t.Fatalf("hot query at the limit: %v", err)
+		}
+	})
+
 	t.Run("oversized frame 413", func(t *testing.T) {
 		_, err := c.Ingest(id, cap.Events[:1000]) // >256 bytes encoded
 		wantStatus(t, err, http.StatusRequestEntityTooLarge)

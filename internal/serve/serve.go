@@ -508,6 +508,12 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// MaxHotLen bounds a hot query's longest window (the max parameter).
+// A query counts every window length up to it over the whole grammar,
+// so its cost grows with max; longer queries are refused with 400
+// before any fold runs.
+const MaxHotLen = 64
+
 func (s *Server) handleHot(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ss, aerr := s.lookup(r)
@@ -539,6 +545,9 @@ func (s *Server) handleHot(w http.ResponseWriter, r *http.Request) {
 		} else {
 			opts.Threshold = f
 		}
+	}
+	if perr == nil && opts.MaxLen > MaxHotLen {
+		perr = errf(http.StatusBadRequest, "max %d exceeds the limit of %d", opts.MaxLen, MaxHotLen)
 	}
 	if perr != nil {
 		writeErr(w, perr)

@@ -232,6 +232,9 @@ func (c *ChunkedWPP) PathCost(e trace.Event) uint64 { return c.costs[e] }
 // executed.
 func (c *ChunkedWPP) DistinctPaths() int { return len(c.costs) }
 
+// CostEvents returns the cost table's keys in ascending order.
+func (c *ChunkedWPP) CostEvents() []trace.Event { return sortedCostEvents(c.costs) }
+
 // Verify checks that every chunk is well formed and the expansion lengths
 // add up to Events. It is VerifyParallel(1).
 func (c *ChunkedWPP) Verify() error { return c.VerifyParallel(1) }

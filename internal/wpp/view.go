@@ -2,9 +2,11 @@ package wpp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,6 +87,36 @@ type ViewError struct {
 
 func (e *ViewError) Error() string { return fmt.Sprintf("wpp: view chunk %d: %v", e.Chunk, e.Err) }
 func (e *ViewError) Unwrap() error { return e.Err }
+
+// ErrMappedFault is the cause a *ViewError wraps when reading a view's
+// bytes raised a memory fault: a mapped file was truncated or replaced
+// underneath the view, so its pages no longer exist.
+var ErrMappedFault = errors.New("wpp: memory fault reading artifact bytes (file truncated while mapped?)")
+
+// guardFaults makes a memory fault in the calling goroutine panic
+// instead of crashing the process, and turns that panic into a
+// *ViewError for the chunk *chunk names, stored in *err. Every entry
+// point that reads mapped bytes defers its result on entry:
+//
+//	defer guardFaults(&i, &err)()
+//
+// The goroutine's previous fault setting is restored on exit. Panics
+// that are not memory faults propagate unchanged.
+func guardFaults(chunk *int, err *error) func() {
+	old := debug.SetPanicOnFault(true)
+	return func() {
+		debug.SetPanicOnFault(old)
+		r := recover()
+		if r == nil {
+			return
+		}
+		fault, ok := r.(interface{ Addr() uintptr })
+		if !ok {
+			panic(r)
+		}
+		*err = &ViewError{Chunk: *chunk, Err: fmt.Errorf("%w: address %#x", ErrMappedFault, fault.Addr())}
+	}
+}
 
 // ViewOptions configures NewView/NewViewParts/OpenViewFile. The zero
 // value (or nil) is valid: no instrumentation, nothing to close.
@@ -469,7 +501,7 @@ func NewView(data []byte, opts *ViewOptions) (*ArtifactView, error) {
 	}
 	start := time.Now()
 	r := &byteReader{data: data}
-	numChunks, err := v.parseHeader(r)
+	numChunks, err := v.parseMappedHeader(r)
 	if err != nil {
 		return fail(err)
 	}
@@ -483,6 +515,14 @@ func NewView(data []byte, opts *ViewOptions) (*ArtifactView, error) {
 	return v, nil
 }
 
+// parseMappedHeader is parseHeader over bytes that may be mapped: a
+// memory fault surfaces as an error naming chunk 0.
+func (v *ArtifactView) parseMappedHeader(r *byteReader) (n int, err error) {
+	chunk := 0
+	defer guardFaults(&chunk, &err)()
+	return v.parseHeader(r)
+}
+
 // chunkIndex returns the per-chunk loaders. For byte-backed views the
 // chunk boundaries are delimited here by a framing scan that runs
 // exactly once, on first use — keeping the open path O(header); framing
@@ -491,27 +531,34 @@ func NewView(data []byte, opts *ViewOptions) (*ArtifactView, error) {
 // were indexed at construction and return immediately.
 func (v *ArtifactView) chunkIndex() ([]ChunkLoad, error) {
 	v.indexOnce.Do(func() {
-		if v.raw == nil {
-			return
+		if v.raw != nil {
+			v.indexErr = v.scanChunks()
 		}
-		r := &byteReader{data: v.raw, off: v.hdrEnd}
-		loads := make([]ChunkLoad, 0, min(v.nchunks, 1<<16))
-		for i := 0; i < v.nchunks; i++ {
-			segStart := r.off
-			if err := scanSnapshot(r); err != nil {
-				v.indexErr = &ViewError{Chunk: i, Err: err}
-				return
-			}
-			seg := v.raw[segStart:r.off]
-			loads = append(loads, func() ([]byte, func(), error) { return seg, nil, nil })
-		}
-		// Trailing bytes after the last chunk are tolerated, as with the
-		// eager streaming decoders; the artifact ends where its grammar
-		// does.
-		v.loads = loads
-		v.met.BytesIndexed.Add(uint64(r.off - v.hdrEnd))
 	})
 	return v.loads, v.indexErr
+}
+
+// scanChunks is the framing scan behind chunkIndex: it delimits every
+// chunk's byte region in raw and installs the loaders.
+func (v *ArtifactView) scanChunks() (err error) {
+	i := 0
+	defer guardFaults(&i, &err)()
+	r := &byteReader{data: v.raw, off: v.hdrEnd}
+	loads := make([]ChunkLoad, 0, min(v.nchunks, 1<<16))
+	for ; i < v.nchunks; i++ {
+		segStart := r.off
+		if err := scanSnapshot(r); err != nil {
+			return &ViewError{Chunk: i, Err: err}
+		}
+		seg := v.raw[segStart:r.off]
+		loads = append(loads, func() ([]byte, func(), error) { return seg, nil, nil })
+	}
+	// Trailing bytes after the last chunk are tolerated, as with the
+	// eager streaming decoders; the artifact ends where its grammar
+	// does.
+	v.loads = loads
+	v.met.BytesIndexed.Add(uint64(r.off - v.hdrEnd))
+	return nil
 }
 
 // NewViewParts assembles a view from a chunked artifact stored as
@@ -642,8 +689,11 @@ func (v *ArtifactView) Close() error {
 // bounds checks, release the bytes, and (for v2) rewrite terminal ranks
 // back to event values against the artifact's dictionary. Every call
 // decodes afresh; the returned snapshot shares nothing with the view's
-// backing bytes and stays valid after Close.
-func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
+// backing bytes and stays valid after Close. A memory fault while
+// reading the bytes (a mapped file truncated underneath the view) is
+// returned as a *ViewError wrapping ErrMappedFault.
+func (v *ArtifactView) Chunk(i int) (_ *sequitur.Snapshot, err error) {
+	defer guardFaults(&i, &err)()
 	if i < 0 || i >= v.nchunks {
 		return nil, &ViewError{Chunk: i, Err: fmt.Errorf("wpp: chunk index out of range (%d chunks)", v.nchunks)}
 	}
@@ -655,11 +705,13 @@ func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
 	if err != nil {
 		return nil, &ViewError{Chunk: i, Err: err}
 	}
-	sn, derr := decodeSnapshot(data)
 	n := len(data)
-	if release != nil {
-		release()
-	}
+	sn, derr := func() (*sequitur.Snapshot, error) {
+		if release != nil {
+			defer release() // also when the decode faults
+		}
+		return decodeSnapshot(data)
+	}()
 	if derr != nil {
 		return nil, &ViewError{Chunk: i, Err: derr}
 	}
@@ -678,8 +730,10 @@ func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
 // a time, stopping early if yield returns false. Unlike the eager
 // artifacts' Walk it can fail: a corrupt chunk surfaces as a *ViewError
 // instead of being undecodable at open time.
-func (v *ArtifactView) Walk(yield func(trace.Event) bool) error {
-	for i := 0; i < v.nchunks; i++ {
+func (v *ArtifactView) Walk(yield func(trace.Event) bool) (err error) {
+	i := 0
+	defer guardFaults(&i, &err)()
+	for ; i < v.nchunks; i++ {
 		sn, err := v.Chunk(i)
 		if err != nil {
 			return err

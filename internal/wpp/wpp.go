@@ -253,6 +253,9 @@ func (w *WPP) PathCost(e trace.Event) uint64 { return w.costs[e] }
 // executed.
 func (w *WPP) DistinctPaths() int { return len(w.costs) }
 
+// CostEvents returns the cost table's keys in ascending order.
+func (w *WPP) CostEvents() []trace.Event { return sortedCostEvents(w.costs) }
+
 // Walk yields the full event trace in order, stopping early if yield
 // returns false.
 func (w *WPP) Walk(yield func(trace.Event) bool) {
