@@ -89,15 +89,30 @@ func CrossingWindows(bounds []Boundary, l int, visit func(window []uint64)) {
 	if l < 2 {
 		return // a 1-window cannot cross a boundary
 	}
-	stream := make([]uint64, 0, 2*l)
+	seamStreams(bounds, l-1, func(stream []uint64, t int) {
+		// Window starts at stream index s, crossing iff it extends past
+		// the chunk end (s+l > t) while starting inside it (s < t).
+		for s := max(0, t-l+1); s < t && s+l <= len(stream); s++ {
+			visit(stream[s : s+l])
+		}
+	})
+}
+
+// seamStreams calls visit, for every nonempty chunk in order, with the
+// chunk's tail followed by up to `after` events of the later chunks,
+// and t, the tail's length: every event a window that starts inside the
+// chunk and crosses its end can touch, for windows of up to after+1
+// events and boundaries of width >= after. The stream is reused across
+// calls.
+func seamStreams(bounds []Boundary, after int, visit func(stream []uint64, t int)) {
+	var stream []uint64
 	for i, b := range bounds {
 		if b.Length == 0 {
 			continue
 		}
-		t := uint64(len(b.Tail)) // tail covers all crossing start positions: t >= min(Length, l-1)
-		// stream = tail of chunk i ++ up to l-1 following events.
+		// The tail covers every crossing start: len(Tail) >= min(Length, after).
 		stream = append(stream[:0], b.Tail...)
-		need := l - 1
+		need := after
 		for j := i + 1; j < len(bounds) && need > 0; j++ {
 			h := bounds[j].Head
 			if len(h) > need {
@@ -106,16 +121,6 @@ func CrossingWindows(bounds []Boundary, l int, visit func(window []uint64)) {
 			stream = append(stream, h...)
 			need -= len(h)
 		}
-		// Window starts at stream index s, crossing iff it extends past
-		// the chunk end (s+l > t) while starting inside it (s < t).
-		for s := uint64(0); s < t; s++ {
-			if s+uint64(l) <= t {
-				continue // fully inside chunk i: already grammar-counted
-			}
-			if s+uint64(l) > uint64(len(stream)) {
-				break // runs past the end of the trace
-			}
-			visit(stream[s : s+uint64(l)])
-		}
+		visit(stream, len(b.Tail))
 	}
 }

@@ -25,7 +25,7 @@ func countWindowsStrings(a *Analysis, l int, counts map[string]uint64) {
 		if a.Uses[r] == 0 {
 			continue
 		}
-		a.crossingRuns(int32(r), L, func(lo, hi uint64) {
+		a.crossingRuns(int32(r), L, L, func(lo, hi uint64) {
 			terms = a.Collect(int32(r), lo, hi-1+L-lo, terms[:0])
 			for o := lo; o < hi; o++ {
 				counts[string(AppendKey(nil, terms[o-lo:o-lo+L]))] += a.Uses[r]

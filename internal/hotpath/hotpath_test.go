@@ -2,6 +2,7 @@ package hotpath
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -51,6 +52,8 @@ func TestOptionsValidation(t *testing.T) {
 		{MinLen: 3, MaxLen: 2, Threshold: 0.1},
 		{MinLen: 1, MaxLen: 2, Threshold: 0},
 		{MinLen: 1, MaxLen: 2, Threshold: 1.5},
+		{MinLen: 1, MaxLen: 2, Threshold: math.NaN()},
+		{MinLen: 1, MaxLen: 2, Threshold: math.Inf(1)},
 	}
 	for _, o := range bad {
 		if _, err := Find(w, o); err == nil {

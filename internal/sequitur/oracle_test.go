@@ -247,9 +247,9 @@ func compareToOracle(t *testing.T, input []uint64, opts Options) {
 func FuzzArenaOracleParity(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{1, 2, 3, 1, 2, 3}, false)
-	f.Add(bytes.Repeat([]byte{7}, 64), false)                      // one long run
-	f.Add(bytes.Repeat([]byte{7}, 41), true)                       // odd-length run, utility off
-	f.Add(bytes.Repeat([]byte{1, 1, 1, 1, 2}, 20), false)          // runs broken by a separator
+	f.Add(bytes.Repeat([]byte{7}, 64), false)                            // one long run
+	f.Add(bytes.Repeat([]byte{7}, 41), true)                             // odd-length run, utility off
+	f.Add(bytes.Repeat([]byte{1, 1, 1, 1, 2}, 20), false)                // runs broken by a separator
 	f.Add(bytes.Repeat([]byte{'a', 'b', 'c', 'd', 'b', 'c'}, 12), false) // the DCC'97 example, repeated
 	f.Fuzz(func(t *testing.T, data []byte, disableUtility bool) {
 		if len(data) > 1<<12 {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -379,6 +380,11 @@ func TestProtocolStatusCodes(t *testing.T) {
 		if _, err := c.Hot(id, HotQuery{MinLen: 4, MaxLen: MaxHotLen}); err != nil {
 			t.Fatalf("hot query at the limit: %v", err)
 		}
+	})
+
+	t.Run("hot threshold NaN 400", func(t *testing.T) {
+		_, err := c.Hot(id, HotQuery{Threshold: math.NaN()})
+		wantStatus(t, err, http.StatusBadRequest)
 	})
 
 	t.Run("oversized frame 413", func(t *testing.T) {

@@ -20,10 +20,10 @@
 //
 // Every error response is JSON {"error": "..."} with a meaningful status:
 // 400 malformed events or query parameters (including a hot query whose
-// max exceeds MaxHotLen), 404 unknown session, 409 lifecycle conflicts
-// (double seal, artifact before seal), 410 evicted mid-request, 413
-// oversized frame, 429 per-session quota, 503 shed load (session table or
-// ingest queue full).
+// max exceeds MaxHotLen or whose threshold is NaN or outside (0,1]), 404
+// unknown session, 409 lifecycle conflicts (double seal, artifact before
+// seal), 410 evicted mid-request, 413 oversized frame, 429 per-session
+// quota, 503 shed load (session table or ingest queue full).
 package serve
 
 // OpenRequest opens a session. All fields are optional: the zero value
