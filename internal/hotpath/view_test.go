@@ -204,3 +204,31 @@ func TestFindViewTruncatedFile(t *testing.T) {
 		}
 	}
 }
+
+// TestChunksScannedPerPass: the chunks-scanned metric counts every
+// chunk analysis, once per counting pass — twice per chunk when there
+// are longer lengths to count, once when MinLen = MaxLen.
+func TestChunksScannedPerPass(t *testing.T) {
+	v := goldenView(t, "expr", "wpc1")
+	n := uint64(v.NumChunks())
+	if n < 2 {
+		t.Fatalf("expr.wpc1 has %d chunks, want several", n)
+	}
+	for _, tc := range []struct {
+		opts   Options
+		passes uint64
+	}{
+		{goldenOpts, 2},
+		{Options{MinLen: 6, MaxLen: 6, Threshold: 0.005}, 1},
+	} {
+		for _, workers := range []int{1, 2} {
+			tc.opts.Metrics = NewMetrics(obsv.NewRegistry())
+			if _, err := FindView(v, tc.opts, workers); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := tc.opts.Metrics.ChunksScanned.Value(), tc.passes*n; got != want {
+				t.Fatalf("MinLen=%d MaxLen=%d workers=%d: %d chunks scanned, want %d", tc.opts.MinLen, tc.opts.MaxLen, workers, got, want)
+			}
+		}
+	}
+}
